@@ -12,6 +12,8 @@ module E = Fpx_harness.Experiments
 module R = Fpx_harness.Runner
 module Catalog = Fpx_workloads.Catalog
 module F = Fpx_fault.Fault
+module Json = Fpx_obs.Json
+module Content = Fpx_store.Content
 
 (* --- Bechamel helpers --------------------------------------------------- *)
 
@@ -119,9 +121,9 @@ let micro_tests () =
                ~hi:values.((!i + 7) land 255))));
       Test.make ~name:"exception record encode+decode" (staged (fun () ->
           incr i;
-          Gpu_fpx.Exce.decode
-            (Gpu_fpx.Exce.encode ~loc:(!i land 0xffff) ~fmt:Fpx_sass.Isa.FP32
-               Gpu_fpx.Exce.Nan)));
+          Fpx_tool.Exce.decode
+            (Fpx_tool.Exce.encode ~loc:(!i land 0xffff) ~fmt:Fpx_sass.Isa.FP32
+               Fpx_tool.Exce.Nan)));
       Test.make ~name:"global-table probe" (staged (fun () ->
           incr i;
           Gpu_fpx.Global_table.test_and_set gt (!i land 0xfffff)));
@@ -191,19 +193,17 @@ let obs_bench () =
   let row_json ((name, g_null, g_active, delta, wn, wa) as r) =
     Printf.sprintf
       "{\"tool\":\"%s\",\"geomean_slowdown_obs_null\":%.6f,\"geomean_slowdown_obs_active\":%.6f,\"model_delta\":%.6f,\"wall_s_obs_null\":%.4f,\"wall_s_obs_active\":%.4f,\"wall_delta\":%.6f}"
-      name g_null g_active delta wn wa (wall_delta r)
+      (Json.escape name) g_null g_active delta wn wa (wall_delta r)
   in
   let json =
     Printf.sprintf
       "{\"programs\":[%s],\"reps\":%d,\"tools\":[%s],\"obs_null_max_model_delta\":%.6f,\"max_wall_delta\":%.6f,\"wall_delta_budget\":%.2f,\"pass_lt_2pct\":%b,\"pass_wall\":%b,\"pass\":%b}\n"
-      (String.concat "," (List.map (Printf.sprintf "\"%s\"") program_names))
+      (String.concat "," (List.map Json.quote program_names))
       reps
       (String.concat "," (List.map row_json rows))
       max_delta max_wall_delta wall_budget pass_model pass_wall pass
   in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_obs.json" json;
   print_string (Fpx_harness.Ascii.section "Observability overhead");
   List.iter
     (fun ((name, g_null, g_active, delta, wn, wa) as r) ->
@@ -282,17 +282,12 @@ let obs2_bench () =
   in
   let verdict_ok = d.Domprof.verdict <> "" in
   let pass = pass_disabled && verdict_ok in
-  let write path s =
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  in
-  write "BENCH_obs2_trace.json" (Span.to_chrome_json recorder4);
-  write "BENCH_obs2_flame.folded" (Span.to_collapsed recorder4);
-  write "BENCH_obs2.json"
+  Content.write_file "BENCH_obs2_trace.json" (Span.to_chrome_json recorder4);
+  Content.write_file "BENCH_obs2_flame.folded" (Span.to_collapsed recorder4);
+  Content.write_file "BENCH_obs2.json"
     (Printf.sprintf
        "{\"programs\":[%s],\"reps\":%d,\"wall_s_plain\":%.4f,\"wall_s_guarded\":%.4f,\"disabled_wall_delta\":%.6f,\"pass_disabled_lt_2pct\":%b,\"enabled_wall_delta\":%.6f,\"diagnosis\":%s,\"verdict_nonempty\":%b,\"pass\":%b}\n"
-       (String.concat "," (List.map (Printf.sprintf "\"%s\"") program_names))
+       (String.concat "," (List.map Json.quote program_names))
        reps wall_plain wall_guarded disabled_delta pass_disabled enabled_delta
        (String.trim (Domprof.diagnosis_json d))
        verdict_ok pass);
@@ -378,9 +373,7 @@ let resilience_bench () =
     in
     if not (Sys.file_exists golden) then true
     else begin
-      let ic = open_in_bin golden in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
+      let s = Content.read_file golden in
       let m =
         R.run ~tool:(R.Detector Gpu_fpx.Detector.default_config)
           (Catalog.find "GRAMSCHM")
@@ -396,7 +389,7 @@ let resilience_bench () =
       "{\"tool\":\"%s\",\"fault_rate\":%.3f,\"status\":\"%s\",\"status_detail\":\"%s\",\"slowdown\":%.4f,\"records\":%d,\"total_exceptions\":%d}"
       name rate
       (R.status_to_string m.R.status)
-      (R.json_escape (R.status_detail m.R.status))
+      (Json.escape (R.status_detail m.R.status))
       m.R.slowdown m.R.records m.R.total_exceptions
   in
   let json =
@@ -407,9 +400,7 @@ let resilience_bench () =
       (String.concat "," (List.map row_json rows))
       deterministic binfpe_hangs detector_survives baseline_unchanged pass
   in
-  let oc = open_out "BENCH_resilience.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_resilience.json" json;
   print_string (Fpx_harness.Ascii.section "Fault injection & resilience");
   List.iter
     (fun (name, _, rate, m) ->
@@ -481,7 +472,7 @@ let static_bench () =
   let row_json (name, m0, m1) =
     Printf.sprintf
       "{\"program\":\"%s\",\"slowdown\":%.4f,\"slowdown_pruned\":%.4f,\"log_identical\":%b}"
-      (R.json_escape name) m0.R.slowdown m1.R.slowdown
+      (Json.escape name) m0.R.slowdown m1.R.slowdown
       (m0.R.log = m1.R.log)
   in
   let json =
@@ -491,9 +482,7 @@ let static_bench () =
       never_slower strictly_reduced pass
       (String.concat "," (List.map row_json rows))
   in
-  let oc = open_out "BENCH_static.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_static.json" json;
   print_string (Fpx_harness.Ascii.section "Static instrumentation pruning");
   Printf.printf
     "  %d instrumentable sites across the catalog, %d provably clean \
@@ -584,9 +573,7 @@ let parallel_bench () =
       speedup4 gate_applies identical_plain identical_fault identical_prune
       pass
   in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_parallel.json" json;
   print_string (Fpx_harness.Ascii.section "Domain-parallel catalog sweep");
   List.iter
     (fun j -> Printf.printf "  --jobs %d: %.3fs wall\n" j (wall_of j))
@@ -647,9 +634,7 @@ let fuzz_bench () =
       (eps runs wall1) (eps runs wall4) identical
       (List.length s1.C.found) drill wall_drill pass
   in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_fuzz.json" json;
   print_string (Fpx_harness.Ascii.section "Differential fuzzing");
   Printf.printf
     "  seed %d, %d cases (%d via klang): %.1f execs/s at --jobs 1, %.1f at \
@@ -722,9 +707,7 @@ let sdc_bench () =
       wall1 wall4 (ips wall1) (ips wall4) identical resume_identical
       partitioned pass
   in
-  let oc = open_out "BENCH_sdc.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_sdc.json" json;
   print_string (Fpx_harness.Ascii.section "Architectural SDC campaign");
   Printf.printf
     "  seed %d, %d injections: %.1f inj/s at --jobs 1, %.1f at --jobs 4\n"
@@ -751,7 +734,6 @@ let sdc_bench () =
 let serve_bench () =
   let module Server = Fpx_serve.Server in
   let module Client = Fpx_serve.Client in
-  let module J = Fpx_serve.Json in
   let sock_path tag =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "fpx-bench-%s-%d.sock" tag (Unix.getpid ()))
@@ -777,7 +759,7 @@ let serve_bench () =
     Server.shutdown t
   in
   let req_of p =
-    J.to_string (J.Obj [ ("op", J.Str "submit"); ("program", J.Str p) ])
+    Json.to_string (Json.Obj [ ("op", Json.Str "submit"); ("program", Json.Str p) ])
   in
   let one path req =
     let c = Client.connect_unix path in
@@ -789,10 +771,10 @@ let serve_bench () =
   in
   let stats_field path f =
     let resp, _ =
-      one path (J.to_string (J.Obj [ ("op", J.Str "stats") ]))
+      one path (Json.to_string (Json.Obj [ ("op", Json.Str "stats") ]))
     in
-    match J.member "payload" (J.parse resp) with
-    | Some payload -> Option.value ~default:(-1) (J.int_field f payload)
+    match Json.member "payload" (Json.parse resp) with
+    | Some payload -> Option.value ~default:(-1) (Json.int_field f payload)
     | None -> -1
   in
   let percentile xs p =
@@ -853,8 +835,8 @@ let serve_bench () =
       (fun () ->
         ignore
           (one path2
-             (J.to_string
-                (J.Obj [ ("op", J.Str "burn"); ("ms", J.Num 600.) ]))))
+             (Json.to_string
+                (Json.Obj [ ("op", Json.Str "burn"); ("ms", Json.Num 600.) ]))))
       ()
   in
   Thread.delay 0.1;
@@ -862,7 +844,7 @@ let serve_bench () =
   let degraded =
     List.length
       (List.filter
-         (fun r -> J.str_field "status" (J.parse r) = Some "degraded")
+         (fun r -> Json.str_field "status" (Json.parse r) = Some "degraded")
          flood)
   in
   let all_returned = List.length flood = 6 in
@@ -873,7 +855,7 @@ let serve_bench () =
       if n > 50 then false
       else
         let r, _ = one path2 (req_of "GEMM") in
-        match J.str_field "status" (J.parse r) with
+        match Json.str_field "status" (Json.parse r) with
         | Some "ok" -> true
         | _ ->
           Thread.delay 0.1;
@@ -894,9 +876,7 @@ let serve_bench () =
        /. float_of_int (List.length fresh_lat))
       hit_ratio byte_identical degraded all_returned recovered pass
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_serve.json" json;
   print_string (Fpx_harness.Ascii.section "Persistent analysis service");
   Printf.printf
     "  %d cached req: %.0f req/s, p50 %.2fms, p99 %.2fms (fresh mean %.2fms)\n"
@@ -959,9 +939,7 @@ let throughput_bench () =
       (List.length programs) n_instrs ips_none ips_det ips_pool pool_jobs
       seq_none_wall seq_det_wall pool_wall identical pass
   in
-  let oc = open_out "BENCH_throughput.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_throughput.json" json;
   print_string (Fpx_harness.Ascii.section "Simulator throughput");
   Printf.printf
     "  %d programs, %d simulated instrs\n  no-tool %.2fM instrs/s \
@@ -1060,9 +1038,7 @@ let exec_bench () =
             rows))
       pass
   in
-  let oc = open_out "BENCH_exec.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_exec.json" json;
   print_string (Fpx_harness.Ascii.section "Execution-core microbenchmark");
   List.iter
     (fun (name, r, d, s) ->
@@ -1138,9 +1114,7 @@ let tenancy_bench () =
       sv.Mt.records_stranded fv.Mt.total_cycles fv.Mt.contention_cycles
       fv.Mt.records_seen interference isolated deterministic pass
   in
-  let oc = open_out "BENCH_tenancy.json" in
-  output_string oc json;
-  close_out oc;
+  Content.write_file "BENCH_tenancy.json" json;
   print_string (Fpx_harness.Ascii.section "Multi-tenant isolation");
   Printf.printf
     "  victim solo:        %9d cycles, %d records seen\n\

@@ -224,7 +224,7 @@ let print_measurement (m : R.measurement) =
     (fun (fmt, exce, n) ->
       Printf.printf "  %s %s: %d location(s)\n"
         (Fpx_sass.Isa.fp_format_to_string fmt)
-        (Gpu_fpx.Exce.to_string exce)
+        (Fpx_tool.Exce.to_string exce)
         n)
     m.R.counts;
   if m.R.counts = [] then Printf.printf "  no exceptions detected\n";
@@ -239,25 +239,21 @@ let print_measurement (m : R.measurement) =
       (match R.status_detail s with "" -> "" | d -> " (" ^ d ^ ")")
 
 let read_file_text path =
-  match open_in path with
-  | ic ->
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  | exception Sys_error msg ->
+  try Fpx_store.Content.read_file path with
+  | Sys_error msg ->
     Printf.eprintf "fpx_run: cannot read file: %s\n" msg;
     exit 124
 
 let write_file path s =
-  Fpx_fuzz.Corpus.mkdir_p (Filename.dirname path);
-  match open_out path with
-  | oc ->
-    output_string oc s;
-    close_out oc
-  | exception Sys_error msg ->
+  let fail msg =
     flush stdout;
     Printf.eprintf "fpx_run: cannot write output file: %s\n" msg;
     exit 1
+  in
+  try Fpx_store.Content.write_file path s with
+  | Sys_error msg -> fail msg
+  (* a missing parent directory that cannot be created *)
+  | Unix.Unix_error (e, _, dir) -> fail (dir ^ ": " ^ Unix.error_message e)
 
 (* Export the sink's trace/metrics when the caller asked for them; a
    .prom suffix on --metrics-out selects Prometheus text format. *)
@@ -505,13 +501,7 @@ let run_sass_cmd =
       & info [ "analyze" ] ~doc:"Use the analyzer instead of the detector.")
   in
   let run path analyze =
-    let text =
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
+    let text = read_file_text path in
     let f =
       try Fpx_sass.Parse.file text
       with Fpx_sass.Parse.Parse_error { line; message } ->
@@ -566,13 +556,7 @@ let lint_cmd =
   let run target fm amp =
     let progs =
       if Sys.file_exists target && not (Sys.is_directory target) then begin
-        let text =
-          let ic = open_in target in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        in
+        let text = read_file_text target in
         match Fpx_sass.Parse.file text with
         | f -> [ f.Fpx_sass.Parse.prog ]
         | exception Fpx_sass.Parse.Parse_error { line; message } ->
@@ -1038,13 +1022,7 @@ let replay_cmd =
                                            artifact header.")
   in
   let run path id seed defect fseed frate fkinds =
-    let text =
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
+    let text = read_file_text path in
     let f =
       try Fpx_sass.Parse.file text
       with Fpx_sass.Parse.Parse_error { line; message } ->
@@ -1333,7 +1311,7 @@ let campaign_cmd =
 (* --- Persistent analysis service ------------------------------------- *)
 
 module Serve = Fpx_serve.Server
-module SJson = Fpx_serve.Json
+module SJson = Fpx_obs.Json
 
 let shed_exit = 7
 

@@ -8,7 +8,7 @@
 module W = Fpx_workloads.Workload
 module R = Fpx_harness.Runner
 module Isa = Fpx_sass.Isa
-module Exce = Gpu_fpx.Exce
+module Exce = Fpx_tool.Exce
 
 let summary (m : R.measurement) =
   String.concat ", "

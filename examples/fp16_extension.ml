@@ -80,8 +80,8 @@ let () =
   print_endline "=== detector report (FP16 extension) ===";
   List.iter print_endline (Gpu_fpx.Detector.log_lines det);
   Printf.printf "\nFP16 INF sites: %d   FP16 NaN sites: %d\n"
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Gpu_fpx.Exce.Inf)
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Gpu_fpx.Exce.Nan);
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Fpx_tool.Exce.Inf)
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Fpx_tool.Exce.Nan);
   let results = Gpu.Memory.read_i32_array mem ~addr:out ~len:n in
   let show t =
     let lo, _ = Fp16.unpack2 results.(t) in

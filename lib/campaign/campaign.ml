@@ -9,6 +9,7 @@ module Program = Fpx_sass.Program
 module Repro = Fpx_fuzz.Repro
 module Shrink = Fpx_fuzz.Shrink
 module Corpus = Fpx_fuzz.Corpus
+module Json = Fpx_obs.Json
 
 type outcome = Masked | Sdc | Detected | Hang | Crash | Decode_fail
 
@@ -84,127 +85,34 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* JSONL result lines                                                  *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '\\' when !i + 1 < n -> (
-      incr i;
-      match s.[!i] with
-      | 'n' -> Buffer.add_char b '\n'
-      | 't' -> Buffer.add_char b '\t'
-      | 'u' when !i + 4 < n ->
-        let code =
-          try int_of_string ("0x" ^ String.sub s (!i + 1) 4) with _ -> 0x3f
-        in
-        Buffer.add_char b (Char.chr (code land 0xff));
-        i := !i + 4
-      | c -> Buffer.add_char b c)
-    | c -> Buffer.add_char b c);
-    incr i
-  done;
-  Buffer.contents b
-
 let result_to_line r =
-  Printf.sprintf
-    "{\"id\":%d,\"program\":\"%s\",\"site\":\"%s\",\"target\":\"%s\",\"outcome\":\"%s\",\"detected\":%b,\"detail\":\"%s\"}"
-    r.id (json_escape r.program) (json_escape r.site) (json_escape r.target)
-    (outcome_to_string r.outcome)
-    r.detected (json_escape r.detail)
-
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let str_field line k =
-  match index_of line (Printf.sprintf "\"%s\":\"" k) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length k + 4 in
-    let n = String.length line in
-    let rec close j =
-      if j >= n then None
-      else if line.[j] = '\\' then close (j + 2)
-      else if line.[j] = '"' then Some j
-      else close (j + 1)
-    in
-    Option.map
-      (fun j -> json_unescape (String.sub line start (j - start)))
-      (close start)
-
-let int_field line k =
-  match index_of line (Printf.sprintf "\"%s\":" k) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length k + 3 in
-    let n = String.length line in
-    let j = ref start in
-    while
-      !j < n && (line.[!j] = '-' || (line.[!j] >= '0' && line.[!j] <= '9'))
-    do
-      incr j
-    done;
-    int_of_string_opt (String.sub line start (!j - start))
-
-let bool_field line k =
-  match index_of line (Printf.sprintf "\"%s\":" k) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length k + 3 in
-    if index_of (String.sub line start (min 5 (String.length line - start)))
-         "true"
-       = Some 0
-    then Some true
-    else if
-      index_of (String.sub line start (min 5 (String.length line - start)))
-        "false"
-      = Some 0
-    then Some false
-    else None
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.Num (float_of_int r.id));
+         ("program", Json.Str r.program);
+         ("site", Json.Str r.site);
+         ("target", Json.Str r.target);
+         ("outcome", Json.Str (outcome_to_string r.outcome));
+         ("detected", Json.Bool r.detected);
+         ("detail", Json.Str r.detail) ])
 
 let result_of_line line =
-  match
-    ( int_field line "id",
-      str_field line "program",
-      str_field line "site",
-      str_field line "target",
-      Option.bind (str_field line "outcome") outcome_of_string,
-      bool_field line "detected",
-      str_field line "detail" )
-  with
-  | Some id, Some program, Some site, Some target, Some outcome,
-    Some detected, Some detail ->
-    Some { id; program; site; target; outcome; detected; detail }
-  | _ -> None
-
-(* Every result that enters a summary goes through the store's
-   serialization, whether or not a store is configured: a straight-run
-   summary and a kill/parse/resume summary must not differ even by an
-   escaping artifact in a trap message. *)
-let canonical r =
-  match result_of_line (result_to_line r) with Some r -> r | None -> r
+  match Json.parse line with
+  | exception Json.Parse_error _ -> None
+  | v -> (
+    match
+      ( Json.int_field "id" v,
+        Json.str_field "program" v,
+        Json.str_field "site" v,
+        Json.str_field "target" v,
+        Option.bind (Json.str_field "outcome" v) outcome_of_string,
+        Json.bool_field "detected" v,
+        Json.str_field "detail" v )
+    with
+    | Some id, Some program, Some site, Some target, Some outcome,
+      Some detected, Some detail ->
+      Some { id; program; site; target; outcome; detected; detail }
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Golden profiles                                                     *)
@@ -432,16 +340,15 @@ let run_one cfg (profiles : profile array) id =
         | Masked | Sdc | Detected | Decode_fail -> None
       in
       let r =
-        canonical
-          {
-            id;
-            program = prof.w.W.name;
-            site = Fault.site_to_string (Fault.arch_site arch);
-            target = Fault.arch_to_string arch;
-            outcome;
-            detected;
-            detail;
-          }
+        {
+          id;
+          program = prof.w.W.name;
+          site = Fault.site_to_string (Fault.arch_site arch);
+          target = Fault.arch_to_string arch;
+          outcome;
+          detected;
+          detail;
+        }
       in
       (r, artifact))
 
@@ -648,7 +555,7 @@ let summary_json s =
                         s.results) ))
                all_outcomes
            in
-           Printf.sprintf "\"%s\":{%s}" (json_escape p) (outcome_obj counts))
+           Printf.sprintf "%s:{%s}" (Json.quote p) (outcome_obj counts))
          cfg.programs)
   in
   let by_site_json =
@@ -666,8 +573,7 @@ let summary_json s =
     "{\"seed\":%d,\"total\":%d,\"programs\":[%s],\"completed\":%d,\"by_outcome\":{%s},\"by_site\":{%s},\"by_program\":{%s},\"masked_detected\":%d,\"sdc_detected\":%d,\"sdc_undetected\":%d,\"catch_rate\":%s}\n"
     cfg.seed cfg.total
     (String.concat ","
-       (List.map (fun p -> Printf.sprintf "\"%s\"" (json_escape p))
-          cfg.programs))
+       (List.map Json.quote cfg.programs))
     s.completed
     (outcome_obj (by_outcome s))
     by_site_json by_program masked_detected (n Detected) (n Sdc)

@@ -89,14 +89,15 @@ type result = {
 }
 
 val result_to_line : result -> string
-(** One JSONL store line. *)
+(** One JSONL store line, rendered by {!Fpx_obs.Json}. *)
 
 val result_of_line : string -> result option
-(** Parse a store line; [None] on torn or foreign lines.
-    [result_of_line (result_to_line r) = Some r] for store-canonical
-    results (run results are canonicalized through this round-trip
-    before they enter a summary, so resumed and straight-through
-    campaigns agree byte-for-byte). *)
+(** Parse a store line with {!Fpx_obs.Json}; [None] on torn or foreign
+    lines. [result_of_line (result_to_line r) = Some r] for every
+    result, whatever bytes its strings hold, so resumed and
+    straight-through campaigns agree byte-for-byte. Lines written
+    before the codec was shared (control characters other than
+    [\n \t] as [\u00XX]) read back the same. *)
 
 type summary = {
   cfg : config;

@@ -3,6 +3,7 @@ open Fpx_gpu
 module Fp32 = Fpx_num.Fp32
 module Fp64 = Fpx_num.Fp64
 module Kind = Fpx_num.Kind
+module Exce = Fpx_tool.Exce
 
 type state =
   | Shared_register

@@ -30,7 +30,7 @@ type report = {
       (** Value class of each register operand (dest first) before the
           instruction executed. *)
   after : Fpx_num.Kind.t list;  (** Same, after execution. *)
-  compile_time : Exce.t option;
+  compile_time : Fpx_tool.Exce.t option;
       (** Exceptional immediate operand found at JIT time. *)
 }
 

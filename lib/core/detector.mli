@@ -36,7 +36,7 @@ val default_config : config
 type finding = {
   entry : Loc_table.entry;
   fmt : Fpx_sass.Isa.fp_format;
-  exce : Exce.t;
+  exce : Fpx_tool.Exce.t;
 }
 
 type t
@@ -54,7 +54,7 @@ val tool : t -> Fpx_tool.instance
 val findings : t -> finding list
 (** Unique exception records, first-seen order. *)
 
-val count : t -> fmt:Fpx_sass.Isa.fp_format -> exce:Exce.t -> int
+val count : t -> fmt:Fpx_sass.Isa.fp_format -> exce:Fpx_tool.Exce.t -> int
 (** Unique locations with the given exception — a Table 4 cell. *)
 
 val total : t -> int

@@ -1,7 +1,7 @@
 type t = { slots : Bytes.t; mutable cardinal : int }
 
 let create () =
-  { slots = Bytes.make Exce.table_slots '\000'; cardinal = 0 }
+  { slots = Bytes.make Fpx_tool.Exce.table_slots '\000'; cardinal = 0 }
 
 let test_and_set t idx =
   if Bytes.get t.slots idx = '\000' then begin

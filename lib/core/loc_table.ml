@@ -14,7 +14,7 @@ let intern t e =
   match Hashtbl.find_opt t.by_key key with
   | Some idx -> idx
   | None ->
-    let idx = t.next land Exce.max_loc in
+    let idx = t.next land Fpx_tool.Exce.max_loc in
     t.next <- t.next + 1;
     Hashtbl.replace t.by_key key idx;
     Hashtbl.replace t.by_index idx e;

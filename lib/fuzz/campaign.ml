@@ -1,4 +1,5 @@
 module Sched = Fpx_sched.Sched
+module Json = Fpx_obs.Json
 
 type config = {
   seed : int;
@@ -77,20 +78,6 @@ let run ?pool (cfg : config) =
 
 (* --- summary JSON ----------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let by_class s =
   List.map
     (fun cl ->
@@ -100,7 +87,7 @@ let by_class s =
 let found_json f =
   let detail_json (cl, d) =
     Printf.sprintf "{\"class\":\"%s\",\"detail\":\"%s\"}"
-      (Oracle.clazz_to_string cl) (json_escape d)
+      (Oracle.clazz_to_string cl) (Json.escape d)
   in
   Printf.sprintf
     "{\"id\":%d,\"class\":\"%s\",\"orig_instrs\":%d,\"min_instrs\":%d,%s\"details\":[%s]}"
@@ -111,8 +98,8 @@ let found_json f =
     | None -> ""
     | Some p ->
       Printf.sprintf "\"artifact\":\"%s\",\"replay\":\"%s\","
-        (json_escape p)
-        (json_escape (Corpus.replay_command p)))
+        (Json.escape p)
+        (Json.escape (Corpus.replay_command p)))
     (String.concat "," (List.map detail_json f.details))
 
 let summary_json s =

@@ -1,7 +1,5 @@
 module Content = Fpx_store.Content
 
-let mkdir_p = Content.mkdir_p
-
 let save_label ~dir ~label c =
   Content.save ~dir:(Filename.concat dir label) ~ext:"sass" (Repro.render c)
 

@@ -4,9 +4,6 @@
     is idempotent and a campaign writes the same files regardless of job
     count or completion order. *)
 
-val mkdir_p : string -> unit
-(** Create a directory and any missing parents (no-op when present). *)
-
 val save : dir:string -> Oracle.clazz -> Repro.t -> string
 (** Write the rendered case under its discrepancy class; returns the
     artifact path. *)

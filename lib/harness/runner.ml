@@ -1,6 +1,7 @@
 module W = Fpx_workloads.Workload
 module Isa = Fpx_sass.Isa
-module Exce = Gpu_fpx.Exce
+module Exce = Fpx_tool.Exce
+module Json = Fpx_obs.Json
 module Fault = Fpx_fault.Fault
 
 type tool_config =
@@ -205,8 +206,6 @@ let geomean = function
 
 (* --- JSON rendering (hand-rolled; the report shape is small) --------- *)
 
-let json_escape = Fpx_obs.Jsonx.escape
-
 let to_json m =
   let counts =
     String.concat ","
@@ -222,20 +221,20 @@ let to_json m =
          (fun (e : Gpu_fpx.Analyzer.escape) ->
            Printf.sprintf
              "{\"kernel\":\"%s\",\"loc\":\"%s\",\"kind\":\"%s\"}"
-             (json_escape e.Gpu_fpx.Analyzer.store_kernel)
-             (json_escape e.Gpu_fpx.Analyzer.store_loc)
+             (Json.escape e.Gpu_fpx.Analyzer.store_kernel)
+             (Json.escape e.Gpu_fpx.Analyzer.store_loc)
              (Fpx_num.Kind.to_string e.Gpu_fpx.Analyzer.kind))
          m.escapes)
   in
   let log =
     String.concat ","
-      (List.map (fun l -> Printf.sprintf "\"%s\"" (json_escape l)) m.log)
+      (List.map Json.quote m.log)
   in
   Printf.sprintf
     "{\"program\":\"%s\",\"tool\":\"%s\",\"slowdown\":%.4f,\"hang\":%b,\"status\":\"%s\",\"status_detail\":\"%s\",\"records\":%d,\"dyn_instrs\":%d,\"total_exceptions\":%d,\"counts\":[%s],\"escapes\":[%s],\"log\":[%s]}"
-    (json_escape m.program)
-    (json_escape (tool_config_to_string m.tool))
+    (Json.escape m.program)
+    (Json.escape (tool_config_to_string m.tool))
     m.slowdown m.hang
     (status_to_string m.status)
-    (json_escape (status_detail m.status))
+    (Json.escape (status_detail m.status))
     m.records m.dyn_instrs m.total_exceptions counts escapes log

@@ -43,7 +43,7 @@ type measurement = {
   status : status;
   records : int;  (** device→host records transferred *)
   dyn_instrs : int;
-  counts : (Fpx_sass.Isa.fp_format * Gpu_fpx.Exce.t * int) list;
+  counts : (Fpx_sass.Isa.fp_format * Fpx_tool.Exce.t * int) list;
       (** unique exception sites per (format, kind); only non-zero
           entries *)
   total_exceptions : int;
@@ -63,7 +63,7 @@ type measurement = {
 }
 
 val count :
-  measurement -> fmt:Fpx_sass.Isa.fp_format -> exce:Gpu_fpx.Exce.t -> int
+  measurement -> fmt:Fpx_sass.Isa.fp_format -> exce:Fpx_tool.Exce.t -> int
 
 val run :
   ?cost:Fpx_gpu.Cost.t ->
@@ -95,10 +95,6 @@ val run_repair :
 (** Run the program's repaired variant, when it has one. *)
 
 val geomean : float list -> float
-
-val json_escape : string -> string
-(** Escape for inclusion inside a JSON string literal (quotes,
-    backslashes, named control escapes, [\uXXXX] for the rest). *)
 
 val to_json : measurement -> string
 (** Machine-readable report: program, tool, slowdown, hang, counts,

@@ -269,7 +269,7 @@ let diagnose ~base ~target =
 let phase_json p =
   Printf.sprintf
     "{\"phase\":%s,\"total_s\":%.6f,\"count\":%d,\"p50_s\":%.6f,\"p99_s\":%.6f}"
-    (Jsonx.quote p.phase) p.total_s p.count p.p50_s p.p99_s
+    (Json.quote p.phase) p.total_s p.count p.p50_s p.p99_s
 
 let breakdown_json b =
   Printf.sprintf
@@ -281,14 +281,14 @@ let breakdown_json b =
 let diagnosis_json d =
   let contribution_json c =
     Printf.sprintf "{\"source\":%s,\"seconds\":%.6f,\"detail\":%s}"
-      (Jsonx.quote c.source) c.seconds (Jsonx.quote c.detail)
+      (Json.quote c.source) c.seconds (Json.quote c.detail)
   in
   Printf.sprintf
     "{\"jobs_base\":%d,\"jobs\":%d,\"wall_s_base\":%.6f,\"wall_s\":%.6f,\"ideal_wall_s\":%.6f,\"excess_s\":%.6f,\"base\":%s,\"target\":%s,\"contributions\":[%s],\"dominant\":%s,\"verdict\":%s}\n"
     d.base.jobs d.target.jobs d.base.wall_s d.target.wall_s d.ideal_wall_s
     d.excess_s (breakdown_json d.base) (breakdown_json d.target)
     (String.concat "," (List.map contribution_json d.contributions))
-    (Jsonx.quote d.dominant) (Jsonx.quote d.verdict)
+    (Json.quote d.dominant) (Json.quote d.verdict)
 
 let render d =
   let buf = Buffer.create 1024 in

@@ -22,7 +22,7 @@ val verdict : t -> int -> verdict
 
 val is_clean : t -> int -> bool
 (** [is_clean t pc] — the predicate handed to
-    {!Fpx_nvbit.Inject.set_prune}: [true] exactly on [Provably_clean]
+    {!Fpx_tool.Inject.set_prune}: [true] exactly on [Provably_clean]
     sites. *)
 
 val n_sites : t -> int

@@ -15,7 +15,10 @@ let write_file path s =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
+    (fun () ->
+      output_string oc s;
+      (* close here so a failed flush raises instead of vanishing *)
+      close_out oc)
 
 let save ~dir ~ext text =
   mkdir_p dir;

@@ -15,7 +15,8 @@ open Fpx_gpu
 module Runner = Fpx_harness.Runner
 module W = Fpx_workloads.Workload
 module Isa = Fpx_sass.Isa
-module Exce = Gpu_fpx.Exce
+module Exce = Fpx_tool.Exce
+module Json = Fpx_obs.Json
 
 type outcome = {
   tenant : Tenant.t;
@@ -218,14 +219,12 @@ let report_text (o : outcome) =
 
 (* --- JSON / metrics export ------------------------------------------ *)
 
-let json_escape = Runner.json_escape
-
 let outcome_json o =
   Printf.sprintf
     "{\"tenant\":\"%s\",\"program\":\"%s\",\"tool\":\"%s\",\"status\":\"%s\",\"launches\":%d,\"total_cycles\":%d,\"contention_cycles\":%d,\"records\":%d,\"records_seen\":%d,\"drains_delayed\":%d,\"records_stranded\":%d,\"backoff_k\":%d,\"total_exceptions\":%d,\"report_sha\":\"%s\"}"
-    (json_escape o.tenant.Tenant.id)
-    (json_escape o.tenant.Tenant.program)
-    (json_escape (Runner.tool_config_to_string o.tenant.Tenant.tool))
+    (Json.escape o.tenant.Tenant.id)
+    (Json.escape o.tenant.Tenant.program)
+    (Json.escape (Runner.tool_config_to_string o.tenant.Tenant.tool))
     (Runner.status_to_string o.m.Runner.status)
     o.launches o.total_cycles o.contention_cycles o.m.Runner.records
     o.records_seen o.drains_delayed o.records_stranded o.backoff_k
@@ -237,8 +236,8 @@ let result_json r =
     String.concat ","
       (List.map
          (fun (id, kernel) ->
-           Printf.sprintf "[\"%s\",\"%s\"]" (json_escape id)
-             (json_escape kernel))
+           Printf.sprintf "[\"%s\",\"%s\"]" (Json.escape id)
+             (Json.escape kernel))
          r.timeline)
   in
   Printf.sprintf

@@ -56,6 +56,18 @@ run "campaign smoke (resume)" \
 run "campaign smoke (determinism)" \
   cmp "$CAMP_STORE/straight.json" "$CAMP_STORE/resumed.json"
 
+# Old stores must still --resume: a store written before the campaign
+# shared the JSON codec (same plan; control characters in one detail
+# escaped the old way) is resumed from a copy and must summarise
+# byte-identically to the straight run.
+cp -R test/golden/campaign-store "$CAMP_STORE/old"
+run "campaign smoke (old store resume)" \
+  dune exec bin/fpx_run.exe -- campaign run --seed 11 --total 24 --jobs 2 \
+  --no-minimize --store "$CAMP_STORE/old" --resume \
+  --out "$CAMP_STORE/old.json"
+run "campaign smoke (old store determinism)" \
+  cmp "$CAMP_STORE/straight.json" "$CAMP_STORE/old.json"
+
 # Smoke the persistent analysis service: daemon up, same submission
 # twice (second must be a cache hit, byte-identical), /metrics over
 # HTTP on the same socket, clean shutdown — all watchdogged.

@@ -151,9 +151,11 @@ let test_result_line_roundtrip () =
       detail = "decode-fail: kernel \"gemm\"\n\tline two";
     }
   in
-  (match C.result_of_line (C.result_to_line r) with
-  | Some r' -> Alcotest.(check bool) "round-trips" true (r = r')
-  | None -> Alcotest.fail "line did not parse");
+  (* the store line format is pinned byte for byte; that every result
+     reads back is a codec law in test_serve *)
+  Alcotest.(check string) "line bytes"
+    {|{"id":41,"program":"GEMM","site":"instr-bit-flip","target":"instr k\"x\" pc 3 sel 9","outcome":"decode-fail","detected":false,"detail":"decode-fail: kernel \"gemm\"\n\tline two"}|}
+    (C.result_to_line r);
   Alcotest.(check bool) "torn line rejected" true
     (C.result_of_line "{\"id\":3,\"program\":\"GE" = None)
 
@@ -183,6 +185,44 @@ let test_store_append_load_reset () =
   Alcotest.(check (list string)) "reset clears" [] (Store.load ~root ~key);
   Alcotest.(check bool) "key independent of nothing else" true
     (String.length key = 32)
+
+(* A store written before the campaign shared the JSON codec (seed 11,
+   total 24, default programs: ids 0-8 and 22, the last with control
+   characters, quotes and UTF-8 in its detail). It must still load, and
+   every line must re-render to its own bytes except that \r \b \f now
+   take their short escapes. scripts/tier1.sh resumes from a copy. *)
+let old_store_root =
+  let local = Filename.concat "golden" "campaign-store" in
+  if Sys.file_exists local then local else Filename.concat "test" local
+
+let test_old_store_loads () =
+  let cfg = C.config ~store:old_store_root ~seed:11 ~total:24 () in
+  let s = C.load cfg in
+  Alcotest.(check (list int)) "every record loads"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 22 ]
+    (List.map (fun r -> r.C.id) s.C.results);
+  let r22 = List.find (fun r -> r.C.id = 22) s.C.results in
+  Alcotest.(check bool) "hang record" true (r22.C.outcome = C.Hang);
+  Alcotest.(check string) "escaped detail decodes"
+    "watchdog: kernel sgemmNN exceeded 126800 instrs\r\n\tsp\"q\\ \b\012\001 caf\195\169"
+    r22.C.detail;
+  let old_lines = Store.load ~root:old_store_root ~key:(C.key cfg) in
+  let rerender l =
+    match C.result_of_line l with
+    | Some r -> C.result_to_line r
+    | None -> Alcotest.fail ("unreadable line: " ^ l)
+  in
+  List.iteri
+    (fun i l ->
+      let expected =
+        if i < 9 then l
+        else
+          {|{"id":22,"program":"GEMM","site":"instr-bit-flip","target":"instr sgemmNN pc 20 sel 378633158","outcome":"hang","detected":false,"detail":"watchdog: kernel sgemmNN exceeded 126800 instrs\r\n\tsp\"q\\ \b\f\u0001 caf|}
+          ^ "\195\169\"}"
+      in
+      Alcotest.(check string) (Printf.sprintf "line %d re-renders" i) expected
+        (rerender l))
+    old_lines
 
 (* --- a tiny end-to-end campaign -------------------------------------- *)
 
@@ -254,6 +294,8 @@ let suite =
         test_result_line_roundtrip;
       Alcotest.test_case "store: append/load/torn-tail/reset" `Quick
         test_store_append_load_reset;
+      Alcotest.test_case "store: pre-codec store still loads" `Quick
+        test_old_store_loads;
       Alcotest.test_case "campaign: resume + jobs invariance" `Quick
         test_campaign_resume_and_jobs_invariance;
       Alcotest.test_case "campaign: rerun matches plan" `Quick

@@ -176,7 +176,7 @@ let test_detector_sees_shared_values () =
   Fpx_nvbit.Runtime.launch rt ~grid:1 ~block:32
     ~params:[ Gpu.Param.Ptr out; I32 32l ] prog;
   Alcotest.(check int) "inf from shared" 1
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP32 ~exce:Gpu_fpx.Exce.Inf)
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP32 ~exce:Fpx_tool.Exce.Inf)
 
 let test_kmeans_atomic_counts () =
   (* the upgraded kmeans: counts must sum to n *)

@@ -8,7 +8,7 @@ module Gpu = Fpx_gpu
 module Nvbit = Fpx_nvbit
 module D = Gpu_fpx.Detector
 module A = Gpu_fpx.Analyzer
-module E = Gpu_fpx.Exce
+module E = Fpx_tool.Exce
 
 let bad_kernel name =
   kernel name [ ("out", ptr Ast.F32); ("n", scalar Ast.I32) ]

@@ -127,23 +127,23 @@ let test_detector_fp16_overflow () =
   let big = Fp16.pack2 ~lo:(Fp16.of_float 60000.0) ~hi:(Fp16.of_float 1.0) in
   let det = detect_h2 Isa.HADD2 big big in
   Alcotest.(check int) "FP16 INF detected" 1
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Gpu_fpx.Exce.Inf);
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Fpx_tool.Exce.Inf);
   Alcotest.(check int) "no FP32 record" 0
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP32 ~exce:Gpu_fpx.Exce.Inf)
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP32 ~exce:Fpx_tool.Exce.Inf)
 
 let test_detector_fp16_nan () =
   let inf = Fp16.pack2 ~lo:Fp16.pos_inf ~hi:Fp16.zero in
   let ninf = Fp16.pack2 ~lo:Fp16.neg_inf ~hi:Fp16.zero in
   let det = detect_h2 Isa.HADD2 inf ninf in
   Alcotest.(check int) "FP16 NaN detected" 1
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Gpu_fpx.Exce.Nan)
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Fpx_tool.Exce.Nan)
 
 let test_detector_fp16_subnormal () =
   let tiny = Fp16.pack2 ~lo:(Fp16.of_float 1e-3) ~hi:Fp16.zero in
   let scale = Fp16.pack2 ~lo:(Fp16.of_float 0.02) ~hi:Fp16.zero in
   let det = detect_h2 Isa.HMUL2 tiny scale in
   Alcotest.(check int) "FP16 SUB detected" 1
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Gpu_fpx.Exce.Sub)
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Fpx_tool.Exce.Sub)
 
 let detect_narrow f32_value =
   (* F2F.F16.F32: the narrowing cast at the heart of loss-scaling bugs *)
@@ -169,21 +169,21 @@ let test_detector_narrowing_cast () =
      the cast itself is the exception site *)
   let det = detect_narrow 1e6 in
   Alcotest.(check int) "FP16 INF at the cast" 1
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Gpu_fpx.Exce.Inf);
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP16 ~exce:Fpx_tool.Exce.Inf);
   (* an in-range value casts cleanly *)
   Alcotest.(check int) "clean cast" 0
     (Gpu_fpx.Detector.total (detect_narrow 123.5));
   (* and a small-but-normal FP32 value lands subnormal in half *)
   let det_sub = detect_narrow 1e-6 in
   Alcotest.(check int) "FP16 SUB at the cast" 1
-    (Gpu_fpx.Detector.count det_sub ~fmt:Isa.FP16 ~exce:Gpu_fpx.Exce.Sub)
+    (Gpu_fpx.Detector.count det_sub ~fmt:Isa.FP16 ~exce:Fpx_tool.Exce.Sub)
 
 let test_record_encoding_fp16 () =
-  let idx = Gpu_fpx.Exce.encode ~loc:77 ~fmt:Isa.FP16 Gpu_fpx.Exce.Sub in
-  let loc, fmt, exce = Gpu_fpx.Exce.decode idx in
+  let idx = Fpx_tool.Exce.encode ~loc:77 ~fmt:Isa.FP16 Fpx_tool.Exce.Sub in
+  let loc, fmt, exce = Fpx_tool.Exce.decode idx in
   Alcotest.(check int) "loc" 77 loc;
   Alcotest.(check bool) "fmt fp16" true (fmt = Isa.FP16);
-  Alcotest.(check bool) "exce" true (Gpu_fpx.Exce.equal exce Gpu_fpx.Exce.Sub)
+  Alcotest.(check bool) "exce" true (Fpx_tool.Exce.equal exce Fpx_tool.Exce.Sub)
 
 let suite =
   ( "fp16",

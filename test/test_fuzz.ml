@@ -35,7 +35,7 @@ type outcome = {
 }
 
 let fmt_str = Fpx_sass.Isa.fp_format_to_string
-let exce_str = Gpu_fpx.Exce.to_string
+let exce_str = Fpx_tool.Exce.to_string
 
 let run_once ?(launches = 1) ?(mode = Fpx_klang.Mode.precise)
     ?(inputs = (a_in, b_in)) ~tool e =

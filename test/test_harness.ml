@@ -143,10 +143,10 @@ let test_inject_cost () =
   let prog =
     Fpx_sass.Program.make ~name:"c" [ Fpx_sass.Instr.make Fpx_sass.Isa.NOP [] ]
   in
-  let b = Fpx_nvbit.Inject.create dev prog in
-  Fpx_nvbit.Inject.insert_before b ~pc:0 ~n_values:3 (fun _ _ -> ());
-  Alcotest.(check int) "sites" 1 (Fpx_nvbit.Inject.sites b);
-  let hooks = Fpx_nvbit.Inject.build b in
+  let b = Fpx_tool.Inject.create dev prog in
+  Fpx_tool.Inject.insert_before b ~pc:0 ~n_values:3 (fun _ _ -> ());
+  Alcotest.(check int) "sites" 1 (Fpx_tool.Inject.sites b);
+  let hooks = Fpx_tool.Inject.build b in
   match hooks.Gpu.Exec.before.(0) with
   | [ inj ] ->
     let cost = dev.Gpu.Device.cost in
@@ -257,34 +257,6 @@ let test_to_json () =
   Alcotest.(check bool) "status_detail field" true
     (contains ~sub:"\"status_detail\":" j)
 
-(* Decode a JSON string-literal body produced by [R.json_escape]; a
-   failure to invert means the escaper emitted something a JSON parser
-   would reject or reread differently. *)
-let json_unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let hex i = int_of_string ("0x" ^ String.sub s i 4) in
-  let rec go i =
-    if i < n then
-      if s.[i] <> '\\' then (
-        Buffer.add_char b s.[i];
-        go (i + 1))
-      else
-        match s.[i + 1] with
-        | '"' -> Buffer.add_char b '"'; go (i + 2)
-        | '\\' -> Buffer.add_char b '\\'; go (i + 2)
-        | '/' -> Buffer.add_char b '/'; go (i + 2)
-        | 'n' -> Buffer.add_char b '\n'; go (i + 2)
-        | 't' -> Buffer.add_char b '\t'; go (i + 2)
-        | 'r' -> Buffer.add_char b '\r'; go (i + 2)
-        | 'b' -> Buffer.add_char b '\b'; go (i + 2)
-        | 'f' -> Buffer.add_char b '\012'; go (i + 2)
-        | 'u' -> Buffer.add_char b (Char.chr (hex (i + 2))); go (i + 6)
-        | c -> Alcotest.fail (Printf.sprintf "bad escape \\%c" c)
-  in
-  go 0;
-  Buffer.contents b
-
 let test_json_escape_roundtrip () =
   let cases =
     [ "plain";
@@ -297,8 +269,10 @@ let test_json_escape_roundtrip () =
   in
   List.iter
     (fun s ->
-      let e = R.json_escape s in
-      Alcotest.(check string) "round-trip" s (json_unescape e);
+      (* the shared parser must reread the escaper's output exactly *)
+      let e = Fpx_obs.Json.escape s in
+      Alcotest.(check bool) "round-trip" true
+        (Fpx_obs.Json.parse ("\"" ^ e ^ "\"") = Fpx_obs.Json.Str s);
       String.iter
         (fun c ->
           Alcotest.(check bool) "no raw control char escapes the escaper" true

@@ -177,13 +177,10 @@ let test_pool_in_flight_concurrent_submitters () =
       Alcotest.(check int) "all completed" 12 (List.length results);
       Alcotest.(check int) "sum of results" 12
         (List.fold_left ( + ) 0 results);
-      (* completion may race the worker's book-keeping decrement only
-         until await returns; by then every task function has run *)
-      Alcotest.(check bool) "in_flight settles to zero" true
-        (let rec wait n =
-           Sched.Pool.in_flight pool = 0 || (n > 0 && (Thread.yield (); wait (n - 1)))
-         in
-         wait 1000))
+      (* a worker retires a task before publishing its result, so once
+         every await has returned nothing is left in flight *)
+      Alcotest.(check int) "in_flight is zero after the awaits" 0
+        (Sched.Pool.in_flight pool))
 
 let test_pool_sweep_identical () =
   let programs =

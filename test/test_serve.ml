@@ -5,7 +5,7 @@
    recovers), and a socket round trip through the real daemon including
    the HTTP /metrics endpoint. *)
 
-module J = Fpx_serve.Json
+module J = Fpx_obs.Json
 module Cache = Fpx_serve.Cache
 module Server = Fpx_serve.Server
 module Client = Fpx_serve.Client
@@ -80,7 +80,97 @@ let test_json_accessors () =
   Alcotest.(check (option int)) "int" (Some 3) (J.int_field "n" v);
   Alcotest.(check (option bool)) "bool" (Some false) (J.bool_field "b" v);
   Alcotest.(check (option string)) "missing" None (J.str_field "nope" v);
-  Alcotest.(check (option int)) "wrong shape" None (J.int_field "op" v)
+  Alcotest.(check (option int)) "wrong shape" None (J.int_field "op" v);
+  Alcotest.(check (option int)) "beyond the exact integers" None
+    (J.int_field "n" (J.parse {|{"n":1e300}|}))
+
+let test_json_unicode_escapes () =
+  let str s = J.parse (Printf.sprintf "\"%s\"" s) in
+  Alcotest.(check bool) "BMP code point to UTF-8" true
+    (str {|\u00e9|} = J.Str "\195\169");
+  Alcotest.(check bool) "control character" true
+    (str {|a\u000db|} = J.Str "a\rb");
+  Alcotest.(check bool) "surrogate pair joins into one 4-byte sequence" true
+    (str {|\ud83d\ude00|} = J.Str "\240\159\152\128");
+  Alcotest.(check bool) "upper-case hex" true
+    (str {|\uD83D\uDE00|} = J.Str "\240\159\152\128");
+  Alcotest.(check bool) "lone surrogates read as U+FFFD" true
+    (str {|\ud83dx\ude00\ud83d\u0041|}
+    = J.Str "\239\191\189x\239\191\189\239\191\189A");
+  let bad s =
+    match str s with exception J.Parse_error _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "underscore is not a hex digit" true (bad {|\u1_23|});
+  Alcotest.(check bool) "sign is not a hex digit" true (bad {|\u+123|});
+  Alcotest.(check bool) "non-hex digit" true (bad {|\u12g4|});
+  Alcotest.(check bool) "bad low half of a pair" true (bad {|\ud83d\uzzzz|});
+  Alcotest.(check bool) "truncated" true
+    (match J.parse {|"\u12|} with
+    | exception J.Parse_error _ -> true
+    | _ -> false)
+
+(* --- codec laws ------------------------------------------------------- *)
+
+let qcheck_case t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150 |]) t
+
+(* arbitrary bytes, not just printable text: the escaper must be total *)
+let bytes_gen = QCheck.Gen.(string_size ~gen:char (int_bound 24))
+
+let finite_gen =
+  QCheck.Gen.(
+    oneof
+      [ map float_of_int (int_range (-1_000_000) 1_000_000);
+        map (fun f -> if Float.is_finite f then f else 0.5) float ])
+
+let json_gen =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return J.Null;
+                 map (fun b -> J.Bool b) bool;
+                 map (fun f -> J.Num f) finite_gen;
+                 map (fun s -> J.Str s) bytes_gen ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 ( 1,
+                   map (fun l -> J.List l)
+                     (list_size (int_bound 4) (self (n / 4))) );
+                 ( 1,
+                   map (fun l -> J.Obj l)
+                     (list_size (int_bound 4) (pair bytes_gen (self (n / 4))))
+                 ) ]))
+
+let law_parse_to_string =
+  QCheck.Test.make ~count:500 ~name:"json: parse (to_string v) = v"
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun v -> J.parse (J.to_string v) = v)
+
+let law_parse_quote =
+  QCheck.Test.make ~count:1000 ~name:"json: parse (quote s) = Str s"
+    (QCheck.make ~print:String.escaped bytes_gen)
+    (fun s -> J.parse (J.quote s) = J.Str s)
+
+let law_campaign_line =
+  let module C = Fpx_campaign.Campaign in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((id, program, site, target), (outcome, detected, detail)) ->
+          { C.id; program; site; target; outcome; detected; detail })
+        (pair
+           (quad (int_bound 1_000_000_000) bytes_gen bytes_gen bytes_gen)
+           (triple (oneofl C.all_outcomes) bool bytes_gen)))
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"campaign line: result_of_line inverts result_to_line"
+    (QCheck.make ~print:C.result_to_line gen)
+    (fun r -> C.result_of_line (C.result_to_line r) = Some r)
 
 (* --- Content store ---------------------------------------------------- *)
 
@@ -428,6 +518,10 @@ let suite =
       Alcotest.test_case "json: parse forms" `Quick test_json_parse_forms;
       Alcotest.test_case "json: errors" `Quick test_json_errors;
       Alcotest.test_case "json: accessors" `Quick test_json_accessors;
+      Alcotest.test_case "json: \\u escapes" `Quick test_json_unicode_escapes;
+      qcheck_case law_parse_to_string;
+      qcheck_case law_parse_quote;
+      qcheck_case law_campaign_line;
       Alcotest.test_case "content: digests" `Quick test_content_digest;
       Alcotest.test_case "content: save idempotent" `Quick
         test_content_save_idempotent;

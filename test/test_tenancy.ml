@@ -234,7 +234,7 @@ let test_unknown_program_rejected () =
 (* --- Serve: tenant labels quotas and metrics, not responses ----------- *)
 
 module Serve = Fpx_serve.Server
-module SJson = Fpx_serve.Json
+module SJson = Fpx_obs.Json
 
 let test_serve_tenant_neutral_cache () =
   let t =

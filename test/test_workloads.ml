@@ -5,7 +5,7 @@ module W = Fpx_workloads.Workload
 module Catalog = Fpx_workloads.Catalog
 module R = Fpx_harness.Runner
 module Isa = Fpx_sass.Isa
-module E = Gpu_fpx.Exce
+module E = Fpx_tool.Exce
 
 let detector = R.Detector Gpu_fpx.Detector.default_config
 
