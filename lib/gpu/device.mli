@@ -37,6 +37,7 @@ val create :
   ?bw:Bandwidth.binding ->
   unit ->
   t
-(** Default: 64 MiB of global memory, {!Cost.default}, name
-    ["SM-SIM (RTX 2070 SUPER model)"], observability and fault injection
-    disabled, the {!Decoded} engine, no bandwidth meter. *)
+(** Default: a 64 MiB address space of global memory, backed on demand,
+    {!Cost.default}, name ["SM-SIM (RTX 2070 SUPER model)"],
+    observability and fault injection disabled, the {!Decoded} engine,
+    no bandwidth meter. *)

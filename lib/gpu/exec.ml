@@ -597,23 +597,30 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
            "fpx_warp_divergent_steps_total")
     | None -> None
   in
+  (* One shared-memory segment and one set of warp files per launch,
+     reset at the top of every block, so each block starts from the
+     all-zero state a fresh allocation would give; real shared memory
+     is uninitialised, but zero-filled keeps clean programs clean. *)
+  let shared = Bytes.create shared_mem_bytes in
+  let warps =
+    Array.init warps_per_block (fun _ ->
+        {
+          regs = Array.make (warp_size * nslots) 0;
+          preds = Array.make 8 0;
+          pcs = Array.make warp_size done_pc;
+        })
+  in
   for blk = 0 to grid - 1 do
-    (* one shared-memory segment per block; real shared memory is
-       uninitialised, but zero-filled keeps clean programs clean *)
-    let shared = Bytes.make shared_mem_bytes '\000' in
-    let make_warp w =
-      let lanes_in_warp =
-        max 0 (min warp_size (block - (w * warp_size)))
-      in
-      {
-        regs = Array.make (warp_size * nslots) 0;
-        preds = Array.make 8 0;
-        pcs =
-          Array.init warp_size (fun lane ->
-              if lane < lanes_in_warp then 0 else done_pc);
-      }
-    in
-    let warps = Array.init warps_per_block make_warp in
+    Bytes.fill shared 0 shared_mem_bytes '\000';
+    Array.iteri
+      (fun w st ->
+        let lanes_in_warp = max 0 (min warp_size (block - (w * warp_size))) in
+        Array.fill st.regs 0 (Array.length st.regs) 0;
+        Array.fill st.preds 0 (Array.length st.preds) 0;
+        for lane = 0 to warp_size - 1 do
+          st.pcs.(lane) <- (if lane < lanes_in_warp then 0 else done_pc)
+        done)
+      warps;
     (* `Run: can make progress; `Bar: parked at a barrier; `Done *)
     let status = Array.make warps_per_block `Run in
     let diverged = Array.make warps_per_block false in

@@ -1,6 +1,13 @@
-type t = { buf : Bytes.t; mutable brk : int }
+(* [limit] is the logical size: every bounds check and [Fault] is
+   against it. [buf] backs only a prefix of it, starting small and
+   doubling (zero-filled, capped at [limit]) when an allocation or an
+   in-limit access reaches past it; bytes past the backing read as zero,
+   as the untouched pages of a fresh mapping do. *)
+type t = { mutable buf : Bytes.t; limit : int; mutable brk : int }
 
 exception Fault of { addr : int; size : int }
+
+let initial_backing = 4096
 
 (* Deterministic garbage for fresh allocations: a cheap xorshift keyed on
    the address, giving stable "uninitialised memory" contents across runs
@@ -13,23 +20,37 @@ let garbage_byte addr =
 
 (* [digest] hashes [0, brk): the reserved null page and the 16-byte
    alignment gaps between allocations are inside that window, so they
-   must hold defined bytes — [Bytes.create] contents depend on what the
-   allocator recycles. Zero, because fresh mappings are zero-filled and
-   recorded campaign baselines were produced that way. *)
+   must hold defined bytes. Zero, because fresh mappings are zero-filled
+   and recorded campaign baselines were produced that way. *)
 let create ~size_bytes =
-  let buf = Bytes.create size_bytes in
-  Bytes.fill buf 0 16 '\000';
-  { buf; brk = 16 }
+  if size_bytes < 16 then invalid_arg "Memory.create";
+  { buf = Bytes.make (min initial_backing size_bytes) '\000';
+    limit = size_bytes;
+    brk = 16 }
 
-let size t = Bytes.length t.buf
+let size t = t.limit
 
-let bounds t ~addr ~size:n =
-  if addr < 0 || addr + n > Bytes.length t.buf then raise (Fault { addr; size = n })
+(* Back at least [need] bytes ([need <= limit]). *)
+let grow t need =
+  let old = Bytes.length t.buf in
+  let rec double n = if n >= need then n else double (2 * n) in
+  let len = min t.limit (double old) in
+  let buf = Bytes.extend t.buf 0 (len - old) in
+  Bytes.fill buf old (len - old) '\000';
+  t.buf <- buf
+
+(* One compare on the fast path: the [lor] is negative iff [addr < 0]
+   or the access ends past the backing. *)
+let[@inline] backed t ~addr ~size:n =
+  if addr lor (Bytes.length t.buf - n - addr) < 0 then begin
+    if addr < 0 || addr > t.limit - n then raise (Fault { addr; size = n });
+    grow t (addr + n)
+  end
 
 let alloc t ~bytes =
   let addr = (t.brk + 15) / 16 * 16 in
-  if addr + bytes > Bytes.length t.buf then
-    raise (Fault { addr; size = bytes });
+  if addr + bytes > t.limit then raise (Fault { addr; size = bytes });
+  if addr + bytes > Bytes.length t.buf then grow t (addr + bytes);
   Bytes.fill t.buf t.brk (addr - t.brk) '\000';
   t.brk <- addr + bytes;
   for k = 0 to bytes - 1 do
@@ -45,19 +66,19 @@ let alloc_zeroed t ~bytes =
 let digest t = Digest.to_hex (Digest.subbytes t.buf 0 t.brk)
 
 let load_i32 t ~addr =
-  bounds t ~addr ~size:4;
+  backed t ~addr ~size:4;
   Bytes.get_int32_le t.buf addr
 
 let store_i32 t ~addr v =
-  bounds t ~addr ~size:4;
+  backed t ~addr ~size:4;
   Bytes.set_int32_le t.buf addr v
 
 let load_i64 t ~addr =
-  bounds t ~addr ~size:8;
+  backed t ~addr ~size:8;
   Bytes.get_int64_le t.buf addr
 
 let store_i64 t ~addr v =
-  bounds t ~addr ~size:8;
+  backed t ~addr ~size:8;
   Bytes.set_int64_le t.buf addr v
 
 let load_f32 t ~addr = load_i32 t ~addr

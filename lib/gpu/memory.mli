@@ -1,6 +1,8 @@
 (** Device global memory: a flat 32-bit byte-addressed space with a bump
     allocator (there is no [cudaFree] in our runs; a fresh device is made
-    per program run). *)
+    per program run). The address space has the full [size_bytes]; host
+    memory backs only the prefix a run has touched, growing on demand,
+    and bytes never written read as zero. *)
 
 type t
 

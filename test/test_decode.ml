@@ -184,6 +184,69 @@ let reg_flip_cases =
     arch_case "instr flip"
       (Fault.Instr_flip { kernel = "flipk"; pc = 4; sel = 9 }) ]
 
+(* Four blocks of two warps. Every lane reads its shared word (LDS) and
+   R1 and P1 before writing any of them, so each block's output depends
+   on the state it starts from: the reference core allocates that state
+   fresh per block, the decoded core resets buffers it reuses across
+   blocks. A flip fired inside block 0, or a block's own writes, that
+   survived into block 1 would show in the digest. *)
+let reset_prog =
+  Program.make ~name:"resetk"
+    [ Instr.make (Isa.S2R Isa.Tid_x) [ Op.reg 10 ];
+      Instr.make (Isa.S2R Isa.Ctaid_x) [ Op.reg 14 ];
+      Instr.make Isa.IMAD [ Op.reg 15; Op.reg 14; Op.imm_i 64l; Op.reg 10 ];
+      Instr.make Isa.IMAD
+        [ Op.reg 11; Op.reg 15; Op.imm_i 4l; Op.cbank ~bank:0 ~offset:0x160 ];
+      Instr.make Isa.IMAD [ Op.reg 12; Op.reg 10; Op.imm_i 4l; Op.imm_i 0l ];
+      Instr.make (Isa.LDS Isa.W32) [ Op.reg 3; Op.reg 12 ];
+      Instr.make Isa.IADD [ Op.reg 1; Op.reg 1; Op.reg 3 ];
+      Instr.make ~guard:(Op.pred 1) Isa.IADD
+        [ Op.reg 1; Op.reg 1; Op.imm_i 0x100l ];
+      Instr.make (Isa.ISETP (Isa.cmp Isa.Lt))
+        [ Op.pred 1; Op.reg 10; Op.imm_i 8l ];
+      Instr.make (Isa.I2F Isa.FP32) [ Op.reg 0; Op.reg 10 ];
+      Instr.make Isa.FADD [ Op.reg 2; Op.reg 0; Op.reg 0 ];
+      Instr.make (Isa.STS Isa.W32) [ Op.reg 12; Op.reg 2 ];
+      Instr.make Isa.BAR [];
+      Instr.make Isa.IADD [ Op.reg 1; Op.reg 1; Op.reg 2 ];
+      Instr.make (Isa.STG Isa.W32) [ Op.reg 11; Op.reg 1 ] ]
+
+let reset_case =
+  {
+    Repro.id = 0;
+    seed = 0;
+    origin = Repro.Sass_gen;
+    prog = reset_prog;
+    grid = 4;
+    block = 64;
+    params = [ Parse.Ptr_bytes (4 * 256) ];
+  }
+
+let reset_arch_case name arch =
+  let fault = Fault.spec ~sites:[] ~rate:0.0 ~arch ~seed:7 () in
+  Alcotest.test_case name `Quick (fun () ->
+      check_same ~fault ~detector:true name reset_case;
+      (* the flip fired and reached the output *)
+      Alcotest.(check bool) "flip changes the digest" true
+        ((run_case ~engine:Device.Decoded ~fault reset_case).digest
+        <> (run_case ~engine:Device.Decoded reset_case).digest))
+
+(* Block 0 runs the first 30 warp-steps: each warp's 13 steps up to the
+   barrier (warp 0, then warp 1), then each warp's last 2. Steps 3 and 16
+   land before warp 0's and warp 1's LDS; a register flip at step 20 is
+   carried to the output by the R1 accumulation. *)
+let block_reset_cases =
+  [ Alcotest.test_case "per-block reset, no flip" `Quick (fun () ->
+        check_same ~detector:true "per-block reset" reset_case);
+    reset_arch_case "per-block reset, reg flip in block 0 warp 0"
+      (Fault.Reg_flip { at_dyn = 3; lane = 5; reg = 1; bit = 12 });
+    reset_arch_case "per-block reset, reg flip in block 0 warp 1"
+      (Fault.Reg_flip { at_dyn = 20; lane = 9; reg = 1; bit = 20 });
+    reset_arch_case "per-block reset, shmem flip in block 0 warp 0"
+      (Fault.Shmem_flip { at_dyn = 3; word = 9; bit = 12 });
+    reset_arch_case "per-block reset, shmem flip in block 0 warp 1"
+      (Fault.Shmem_flip { at_dyn = 16; word = 40; bit = 20 }) ]
+
 (* --- poison determinism ----------------------------------------------- *)
 
 (* A malformed operand (predicate where a float is expected) decodes to
@@ -230,4 +293,4 @@ let suite =
       qcheck_case prop_reg_flip;
       Alcotest.test_case "poison dormant = inert" `Quick test_poison_dormant;
       Alcotest.test_case "poison armed = same trap" `Quick test_poison_armed ]
-    @ reg_flip_cases )
+    @ reg_flip_cases @ block_reset_cases )

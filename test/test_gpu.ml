@@ -69,6 +69,201 @@ let test_oom_and_fault () =
     (try ignore (Memory.load_i32 m ~addr:(-4)); false
      with Memory.Fault _ -> true)
 
+(* --- Memory against a flat reference ------------------------------------- *)
+
+(* The memory model as it was when the whole address space was one
+   zero-filled [Bytes]: on-demand backing must be indistinguishable from
+   it in every value, fault and digest. *)
+module Flat = struct
+  type t = { buf : Bytes.t; mutable brk : int }
+
+  let create limit = { buf = Bytes.make limit '\000'; brk = 16 }
+
+  let garbage_byte addr =
+    let x = addr * 2654435761 land 0x7fffffff in
+    let x = x lxor (x lsr 13) in
+    let x = x * 1103515245 land 0x7fffffff in
+    (x lsr 7) land 0xff
+
+  let bounds t ~addr n =
+    if addr < 0 || addr + n > Bytes.length t.buf then
+      raise (Memory.Fault { addr; size = n })
+
+  let alloc t bytes =
+    let addr = (t.brk + 15) / 16 * 16 in
+    if addr + bytes > Bytes.length t.buf then
+      raise (Memory.Fault { addr; size = bytes });
+    Bytes.fill t.buf t.brk (addr - t.brk) '\000';
+    t.brk <- addr + bytes;
+    for k = 0 to bytes - 1 do
+      Bytes.set_uint8 t.buf (addr + k) (garbage_byte (addr + k))
+    done;
+    addr
+
+  let alloc_zeroed t bytes =
+    let addr = alloc t bytes in
+    Bytes.fill t.buf addr bytes '\000';
+    addr
+
+  let digest t = Digest.to_hex (Digest.subbytes t.buf 0 t.brk)
+end
+
+let mem_limit = 256 * 1024
+
+(* Where an access lands, resolved against the reference model's [brk]
+   just before the step. *)
+type where =
+  | Below_brk of int  (** [k mod brk] *)
+  | Past_brk of int  (** [brk + k] *)
+  | Backing_edge of int * int  (** [(4096 lsl k) + d]: the doubling points *)
+  | Near_limit of int  (** [limit - d] *)
+  | Negative of int  (** [-1 - k] *)
+
+type mem_op =
+  | Alloc of int
+  | Alloc_zeroed of int
+  | Load32 of where
+  | Store32 of where * int32
+  | Load64 of where
+  | Store64 of where * int64
+
+type mem_result =
+  | Addr of int
+  | V32 of int32
+  | V64 of int64
+  | Stored
+  | Fault of int * int
+
+let resolve (f : Flat.t) = function
+  | Below_brk k -> k mod f.Flat.brk
+  | Past_brk k -> f.Flat.brk + k
+  | Backing_edge (k, d) -> (4096 lsl k) + d
+  | Near_limit d -> mem_limit - d
+  | Negative k -> -1 - k
+
+let show_where = function
+  | Below_brk k -> Printf.sprintf "below_brk %d" k
+  | Past_brk k -> Printf.sprintf "past_brk %d" k
+  | Backing_edge (k, d) -> Printf.sprintf "edge (%d, %d)" k d
+  | Near_limit d -> Printf.sprintf "limit-%d" d
+  | Negative k -> Printf.sprintf "-1-%d" k
+
+let show_mem_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Alloc_zeroed n -> Printf.sprintf "alloc_zeroed %d" n
+  | Load32 w -> "load32 " ^ show_where w
+  | Store32 (w, v) -> Printf.sprintf "store32 %s %ld" (show_where w) v
+  | Load64 w -> "load64 " ^ show_where w
+  | Store64 (w, v) -> Printf.sprintf "store64 %s %Ld" (show_where w) v
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let where =
+    frequency
+      [ (4, map (fun k -> Below_brk k) (int_bound 1_000_000));
+        (2, map (fun k -> Past_brk k) (int_bound 8192));
+        ( 2,
+          map2 (fun k d -> Backing_edge (k, d)) (int_bound 6) (int_range (-8) 8)
+        );
+        (1, map (fun d -> Near_limit d) (int_range (-2) 9));
+        (1, map (fun k -> Negative k) (int_bound 16)) ]
+  in
+  let size =
+    frequency
+      [ (12, int_bound 3000);
+        (2, int_bound 40_000);
+        (1, int_range mem_limit (2 * mem_limit)) ]
+  in
+  frequency
+    [ (2, map (fun n -> Alloc n) size);
+      (1, map (fun n -> Alloc_zeroed n) size);
+      (3, map (fun w -> Load32 w) where);
+      (3, map2 (fun w v -> Store32 (w, Int32.of_int v)) where int);
+      (2, map (fun w -> Load64 w) where);
+      (2, map2 (fun w v -> Store64 (w, Int64.of_int v)) where int) ]
+
+let arb_mem_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    QCheck.Gen.(list_size (int_range 1 60) gen_mem_op)
+
+let mem_step m (f : Flat.t) op =
+  let catch g =
+    try g () with Memory.Fault { addr; size } -> Fault (addr, size)
+  in
+  let on_both g h = (catch g, catch h) in
+  let addr w = resolve f w in
+  match op with
+  | Alloc n ->
+    on_both
+      (fun () -> Addr (Memory.alloc m ~bytes:n))
+      (fun () -> Addr (Flat.alloc f n))
+  | Alloc_zeroed n ->
+    on_both
+      (fun () -> Addr (Memory.alloc_zeroed m ~bytes:n))
+      (fun () -> Addr (Flat.alloc_zeroed f n))
+  | Load32 w ->
+    let addr = addr w in
+    on_both
+      (fun () -> V32 (Memory.load_i32 m ~addr))
+      (fun () ->
+        Flat.bounds f ~addr 4;
+        V32 (Bytes.get_int32_le f.Flat.buf addr))
+  | Store32 (w, v) ->
+    let addr = addr w in
+    on_both
+      (fun () -> Memory.store_i32 m ~addr v; Stored)
+      (fun () ->
+        Flat.bounds f ~addr 4;
+        Bytes.set_int32_le f.Flat.buf addr v;
+        Stored)
+  | Load64 w ->
+    let addr = addr w in
+    on_both
+      (fun () -> V64 (Memory.load_i64 m ~addr))
+      (fun () ->
+        Flat.bounds f ~addr 8;
+        V64 (Bytes.get_int64_le f.Flat.buf addr))
+  | Store64 (w, v) ->
+    let addr = addr w in
+    on_both
+      (fun () -> Memory.store_i64 m ~addr v; Stored)
+      (fun () ->
+        Flat.bounds f ~addr 8;
+        Bytes.set_int64_le f.Flat.buf addr v;
+        Stored)
+
+let prop_memory_vs_flat =
+  QCheck.Test.make ~count:300 ~name:"memory = flat reference model"
+    arb_mem_ops (fun ops ->
+      let m = Memory.create ~size_bytes:mem_limit in
+      let f = Flat.create mem_limit in
+      List.for_all
+        (fun op ->
+          let got, want = mem_step m f op in
+          got = want
+          && Memory.digest m = Flat.digest f
+          && Memory.size m = mem_limit)
+        ops)
+
+(* The fixed edges the random walk may miss: the last in-limit words,
+   the limit itself and one byte into a fresh backing. *)
+let test_memory_edges () =
+  let m = Memory.create ~size_bytes:mem_limit in
+  let f = Flat.create mem_limit in
+  List.iter
+    (fun op ->
+      let got, want = mem_step m f op in
+      Alcotest.(check bool) (show_mem_op op) true (got = want);
+      Alcotest.(check string) "digest" (Flat.digest f) (Memory.digest m))
+    [ Load32 (Near_limit 4); Load64 (Near_limit 8); Load32 (Near_limit 3);
+      Load64 (Near_limit 7); Load32 (Near_limit 0); Store32 (Near_limit 4, 7l);
+      Load32 (Near_limit 4); Store64 (Near_limit 8, -1L);
+      Load64 (Near_limit 8); Load32 (Negative 0); Store64 (Negative 3, 1L);
+      Load32 (Backing_edge (0, -2)); Store64 (Backing_edge (1, -4), 5L);
+      Load64 (Backing_edge (1, -4)); Alloc 100; Alloc_zeroed 10_000;
+      Load32 (Past_brk 0); Alloc (2 * mem_limit); Alloc mem_limit ]
+
 (* --- Param ABI ------------------------------------------------------------ *)
 
 let test_param_layout () =
@@ -214,4 +409,9 @@ let suite =
         test_stats_add_and_slowdown;
       Alcotest.test_case "stats empty" `Quick test_stats_empty_slowdown;
       Alcotest.test_case "stats zero-base overhead" `Quick
-        test_stats_zero_base_nonzero_overhead ] )
+        test_stats_zero_base_nonzero_overhead;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 0x6d656d |])
+        prop_memory_vs_flat;
+      Alcotest.test_case "memory edges = flat reference" `Quick
+        test_memory_edges ] )

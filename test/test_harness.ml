@@ -310,6 +310,28 @@ let test_to_json_escaping () =
   Alcotest.(check bool) "no raw newline" true
     (not (String.contains j '\n'))
 
+(* A run allocates what its program touches, not a whole device: one
+   small catalog program under the default detector stays far below the
+   64 MiB address space. Allocation on one domain is deterministic. The
+   count is minor words plus major words: on OCaml 5.1.1
+   [Gc.allocated_bytes] counts the part of the minor heap filled since
+   the last minor collection at an eighth of its size, while this sum
+   is exact but for promoted words, counted twice, so it can only
+   over-state. *)
+let test_run_allocation_gate () =
+  let w = Catalog.find "b+tree" in
+  let words () =
+    let _, _, major = Gc.counters () in
+    Gc.minor_words () +. major
+  in
+  let before = words () in
+  let m = R.run ~tool:detector w in
+  let bytes = (words () -. before) *. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check string) "ran" "completed" (R.status_to_string m.R.status);
+  if bytes >= 8. *. 1024. *. 1024. then
+    Alcotest.failf "Runner.run b+tree allocated %.1f MiB (gate: 8 MiB)"
+      (bytes /. 1024. /. 1024.)
+
 let suite =
   ( "harness",
     [ Alcotest.test_case "geomean" `Quick test_geomean;
@@ -339,5 +361,7 @@ let suite =
         test_json_escape_roundtrip;
       Alcotest.test_case "to_json golden file" `Quick test_to_json_golden;
       Alcotest.test_case "to_json escaping" `Quick test_to_json_escaping;
-      Alcotest.test_case "headline claim (subset)" `Slow test_headline_claims ] )
+      Alcotest.test_case "headline claim (subset)" `Slow test_headline_claims;
+      Alcotest.test_case "run allocation gate" `Quick
+        test_run_allocation_gate ] )
 

@@ -253,6 +253,83 @@ let test_gt_merge () =
   Alcotest.(check int) "left intact" 2 (G.cardinal a);
   Alcotest.(check int) "right intact" 2 (G.cardinal b)
 
+(* --- Global_table: on-demand backing -------------------------------- *)
+
+let slots = Fpx_tool.Exce.table_slots
+
+let set_slots t =
+  let acc = ref [] in
+  G.iter_set t (fun i -> acc := i :: !acc);
+  List.rev !acc
+
+let test_gt_last_slot () =
+  let t = G.create () in
+  Alcotest.(check bool) "last slot sets" true (G.test_and_set t (slots - 1));
+  Alcotest.(check bool) "last slot dedups" false (G.test_and_set t (slots - 1));
+  Alcotest.(check bool) "last slot mem" true (G.mem t (slots - 1));
+  Alcotest.(check (list int)) "iter_set reaches it" [ slots - 1 ] (set_slots t);
+  G.reset t (slots - 1);
+  Alcotest.(check int) "reset empties it" 0 (G.cardinal t)
+
+let test_gt_out_of_range () =
+  let t = G.create () in
+  List.iter
+    (fun idx ->
+      let raises f =
+        match f () with _ -> false | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) "test_and_set raises" true
+        (raises (fun () -> ignore (G.test_and_set t idx : bool)));
+      Alcotest.(check bool) "mem raises" true
+        (raises (fun () -> ignore (G.mem t idx : bool)));
+      Alcotest.(check bool) "reset raises" true
+        (raises (fun () -> G.reset t idx)))
+    [ slots; -1 ];
+  Alcotest.(check int) "nothing set" 0 (G.cardinal t)
+
+let test_gt_mem_does_not_grow () =
+  let t = G.create () in
+  ignore (G.test_and_set t 3 : bool);
+  (* a probe past the backing answers from the prefix: no table-sized
+     allocation, and the reset of an untouched slot is a no-op *)
+  let before = Gc.allocated_bytes () in
+  let hit = G.mem t (slots - 1) in
+  G.reset t (slots - 2);
+  let grew = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "untouched high slot is empty" false hit;
+  Alcotest.(check bool) "no table-sized allocation" true (grew < 4096.);
+  Alcotest.(check int) "cardinal unchanged" 1 (G.cardinal t);
+  Alcotest.(check (list int)) "set slots unchanged" [ 3 ] (set_slots t)
+
+let test_gt_merge_sizes () =
+  let small = G.create () and big = G.create () in
+  List.iter (fun i -> ignore (G.test_and_set small i : bool)) [ 2; 5 ];
+  List.iter
+    (fun i -> ignore (G.test_and_set big i : bool))
+    [ 5; 70_000; slots - 1 ];
+  let expect = [ 2; 5; 70_000; slots - 1 ] in
+  Alcotest.(check (list int)) "small into big" expect
+    (set_slots (G.merge small big));
+  Alcotest.(check (list int)) "big into small" expect
+    (set_slots (G.merge big small));
+  Alcotest.(check int) "union cardinal" 4 (G.cardinal (G.merge small big))
+
+let test_gt_iter_order () =
+  let t = G.create () in
+  let idxs = [ 900; 3; slots - 1; 64; 0; 65; 4096 ] in
+  List.iter (fun i -> ignore (G.test_and_set t i : bool)) idxs;
+  Alcotest.(check (list int)) "ascending" (List.sort compare idxs) (set_slots t)
+
+let test_gt_clear () =
+  let t = G.create () in
+  List.iter (fun i -> ignore (G.test_and_set t i : bool)) [ 1; 500; slots - 1 ];
+  G.clear t;
+  Alcotest.(check int) "cardinal 0" 0 (G.cardinal t);
+  Alcotest.(check (list int)) "no slot set" [] (set_slots t);
+  Alcotest.(check bool) "mem after clear" false (G.mem t 500);
+  Alcotest.(check bool) "settable again" true (G.test_and_set t 500);
+  Alcotest.(check int) "cardinal 1" 1 (G.cardinal t)
+
 (* --- Metrics: merge + deterministic export ---------------------------- *)
 
 let test_metrics_merge () =
@@ -434,4 +511,14 @@ let suite =
         test_metrics_export_golden;
       qcheck_case prop_jobs_identical;
       qcheck_case prop_jobs_identical_fault;
-      qcheck_case prop_jobs_identical_prune ] )
+      qcheck_case prop_jobs_identical_prune;
+      Alcotest.test_case "global-table last slot" `Quick test_gt_last_slot;
+      Alcotest.test_case "global-table out of range" `Quick
+        test_gt_out_of_range;
+      Alcotest.test_case "global-table mem does not grow" `Quick
+        test_gt_mem_does_not_grow;
+      Alcotest.test_case "global-table merge of unequal backings" `Quick
+        test_gt_merge_sizes;
+      Alcotest.test_case "global-table iter_set ascending" `Quick
+        test_gt_iter_order;
+      Alcotest.test_case "global-table clear" `Quick test_gt_clear ] )

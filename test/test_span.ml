@@ -97,7 +97,12 @@ let test_cross_domain_tracks () =
       ignore
         (Fpx_sched.Sched.map ~jobs:4
            (fun i ->
-             Span.with_ ~cat:"work" "task-body" (fun () -> i * i))
+             (* a body that takes a moment, so the spawned domains are
+                running before the caller's worker has claimed every
+                index *)
+             Span.with_ ~cat:"work" "task-body" (fun () ->
+                 Unix.sleepf 0.005;
+                 i * i))
            [ 1; 2; 3; 4; 5; 6; 7; 8 ]
           : int list));
   let infos = Span.track_infos r in
